@@ -21,6 +21,12 @@
 // with a did-you-mean suggestion for misspelled fields; they never kill the
 // server. Replies are written in completion order (the id, echoed
 // verbatim, correlates them), so a pipelining client keeps the batcher fed.
+//
+// Numbers: reply doubles are the %.17g text (std::to_chars, 17 significant
+// digits), so they parse back bit for bit. In requests, "budget_w" must be
+// a finite decimal number, "id" a signed 64-bit integer, and "salt"
+// (decimal) and "cluster" (hex digits) unsigned 64-bit integers without a
+// sign.
 #pragma once
 
 #include <cstdint>

@@ -9,15 +9,20 @@
 
 #include <atomic>
 #include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <numeric>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "core/scheme_registry.hpp"
 #include "service/server.hpp"
+#include "util/rng.hpp"
 #include "workloads/catalog.hpp"
 
 namespace vapb::service {
@@ -411,6 +416,21 @@ TEST(ServiceCodec, ParsesARequestLine) {
   EXPECT_EQ(req.budget_w, 2160.0);
   EXPECT_EQ(req.kind, RequestKind::kSolve);
   EXPECT_EQ(req.salt, 3u);
+
+  // Integer fields keep their full range: a signed id, unsigned salt and
+  // cluster fingerprint.
+  const BudgetRequest wide = parse_request_json(
+      R"({"id": -7, "scheme": "VaPc", "workload": "MHD", "budget_w": 1e3,)"
+      R"( "salt": 18446744073709551615, "cluster": "ffffffffffffffff"})",
+      id, cmd);
+  EXPECT_EQ(id, -7);
+  EXPECT_EQ(wide.budget_w, 1000.0);
+  EXPECT_EQ(wide.salt, 18446744073709551615ULL);
+  EXPECT_EQ(wide.cluster_fingerprint, 0xffffffffffffffffULL);
+  static_cast<void>(
+      parse_request_json(R"({"id": -9223372036854775808, "cmd": "stats"})",
+                         id, cmd));
+  EXPECT_EQ(id, INT64_MIN);
 }
 
 TEST(ServiceCodec, UnknownFieldGetsDidYouMean) {
@@ -436,6 +456,37 @@ TEST(ServiceCodec, RejectsMalformedLines) {
                                   R"( "workload": "MHD", "budget_w": 1})",
                                   id, cmd),
                InvalidArgument);
+
+  // Numbers that strtod/strtoull used to accept or silently wrap; each
+  // error names the offending field.
+  const std::string solve = R"("scheme": "VaPc", "workload": "MHD")";
+  const std::pair<std::string, std::string> bad_numbers[] = {
+      {R"({"budget_w": inf, )" + solve + "}", "budget_w"},
+      {R"({"budget_w": -inf, )" + solve + "}", "budget_w"},
+      {R"({"budget_w": 1e400, )" + solve + "}", "budget_w"},
+      {R"({"budget_w": nan, )" + solve + "}", "budget_w"},
+      {R"({"budget_w": 0x10, )" + solve + "}", "budget_w"},
+      {R"({"budget_w": "", )" + solve + "}", "budget_w"},
+      {R"({"budget_w": 1, "salt": -1, )" + solve + "}", "salt"},
+      {R"({"budget_w": 1, "salt": +1, )" + solve + "}", "salt"},
+      {R"({"budget_w": 1, "salt": 18446744073709551616, )" + solve + "}",
+       "salt"},
+      {R"({"budget_w": 1, "cluster": "-1", )" + solve + "}", "cluster"},
+      {R"({"budget_w": 1, "cluster": "+ff", )" + solve + "}", "cluster"},
+      {R"({"id": 18446744073709551615, "cmd": "stats"})", "id"},
+      {R"({"id": 9223372036854775808, "cmd": "stats"})", "id"},
+      {R"({"id": 1.5, "cmd": "stats"})", "id"},
+  };
+  for (const auto& [line, field] : bad_numbers) {
+    try {
+      static_cast<void>(parse_request_json(line, id, cmd));
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + field + '"'),
+                std::string::npos)
+          << line << " -> " << e.what();
+    }
+  }
 }
 
 TEST(ServiceCodec, ControlLinesShortCircuit) {
@@ -455,6 +506,228 @@ TEST(ServiceCodec, ErrorReplySerializesInBand) {
   EXPECT_NE(line.find("\"id\": 4"), std::string::npos);
   EXPECT_NE(line.find("\"ok\": false"), std::string::npos);
   EXPECT_NE(line.find("unknown scheme \\\"X\\\""), std::string::npos);
+}
+
+// -- Wire bytes ---------------------------------------------------------------
+
+/// A solve reply whose allocations hold the doubles that stress a formatter:
+/// signed zero, the smallest denormal and normal, DBL_MAX, values with no
+/// short exact form, and the %g switch points to and from exponent notation.
+BudgetReply golden_solve_reply() {
+  BudgetReply r;
+  r.ok = true;
+  r.request.scheme = "VaPc";
+  r.request.workload = "*DGEMM";
+  r.request.budget_w = 2160.0;
+  r.budget.fits_at_fmin = true;
+  r.budget.constrained = true;
+  r.budget.alpha = 0.7;
+  r.budget.target_freq_ghz = util::GigaHertz{2.2};
+  r.budget.predicted_total_w = util::Watts{2159.9999999999995};
+  const double values[] = {0.0,    -0.0, 5e-324, 2.2250738585072014e-308,
+                           DBL_MAX, 0.1, 1.0 / 3.0, 1e21,
+                           1e-7,   2160.0, -2.5, 65.0};
+  for (std::size_t k = 0; k < std::size(values); k += 3) {
+    r.budget.allocations.push_back({util::Watts{values[k]},
+                                    util::Watts{values[k + 1]},
+                                    util::Watts{values[k + 2]}});
+  }
+  return r;
+}
+
+BudgetReply golden_run_reply(bool feasible) {
+  BudgetReply r;
+  r.ok = true;
+  r.request.scheme = "VaFs";
+  r.request.workload = "MHD";
+  r.request.budget_w = 1280.0;
+  r.request.kind = RequestKind::kRun;
+  r.cls = feasible ? core::CellClass::kValid : core::CellClass::kInfeasible;
+  r.metrics.feasible = feasible;
+  r.metrics.alpha = feasible ? 0.4 : 0.0;
+  r.metrics.target_freq_ghz = feasible ? 2.1 : 0.0;
+  r.metrics.makespan_s = feasible ? 12.345678901234567 : 0.0;
+  r.metrics.total_power_w = feasible ? 1279.5 : 0.0;
+  if (feasible) {
+    for (const auto& [cpu_w, dram_w, ghz] :
+         {std::tuple{100.0, 10.0, 2.7}, std::tuple{90.0, 12.0, 2.4}}) {
+      core::ModuleOutcome m;
+      m.op.cpu_w = cpu_w;
+      m.op.dram_w = dram_w;
+      m.op.perf_freq_ghz = ghz;
+      r.metrics.modules.push_back(m);
+    }
+  }
+  return r;
+}
+
+// The exact bytes of every reply shape, as the snprintf("%.17g") encoder
+// wrote them. Any encoder must reproduce them unchanged.
+TEST(ServiceCodec, GoldenWireBytes) {
+  const BudgetReply solve = golden_solve_reply();
+  EXPECT_EQ(
+      reply_to_json(solve, 11),
+      R"({"id": 11, "ok": true, "scheme": "VaPc", )"
+      R"("workload": "*DGEMM", "budget_w": 2160, "fits_at_fmin": true, )"
+      R"("constrained": true, "alpha": 0.69999999999999996, )"
+      R"("target_freq_ghz": 2.2000000000000002, )"
+      R"("predicted_total_w": 2159.9999999999995, "allocations": [[0, )"
+      R"(-0, 4.9406564584124654e-324], [2.2250738585072014e-308, )"
+      R"(1.7976931348623157e+308, 0.10000000000000001], )"
+      R"([0.33333333333333331, 1e+21, 9.9999999999999995e-08], [2160, )"
+      R"(-2.5, 65]], "allocation_count": 4})");
+  EXPECT_EQ(
+      reply_to_json(solve, -7, /*max_allocations=*/2),
+      R"({"id": -7, "ok": true, "scheme": "VaPc", )"
+      R"("workload": "*DGEMM", "budget_w": 2160, "fits_at_fmin": true, )"
+      R"("constrained": true, "alpha": 0.69999999999999996, )"
+      R"("target_freq_ghz": 2.2000000000000002, )"
+      R"("predicted_total_w": 2159.9999999999995, "allocations": [[0, )"
+      R"(-0, 4.9406564584124654e-324], [2.2250738585072014e-308, )"
+      R"(1.7976931348623157e+308, 0.10000000000000001]], )"
+      R"("allocation_count": 4})");
+  EXPECT_EQ(
+      reply_to_json(golden_run_reply(true), 12),
+      R"({"id": 12, "ok": true, "scheme": "VaFs", "workload": "MHD", )"
+      R"("budget_w": 1280, "cell": "X", "feasible": true, )"
+      R"("alpha": 0.40000000000000002, )"
+      R"("target_freq_ghz": 2.1000000000000001, )"
+      R"("makespan_s": 12.345678901234567, "total_power_w": 1279.5, )"
+      R"("vp": 1.0784313725490196, "vf": 1.1250000000000002})");
+  EXPECT_EQ(
+      reply_to_json(golden_run_reply(false), 13),
+      R"({"id": 13, "ok": true, "scheme": "VaFs", "workload": "MHD", )"
+      R"("budget_w": 1280, "cell": "infeasible", "feasible": false, )"
+      R"("alpha": 0, "target_freq_ghz": 0, "makespan_s": 0, )"
+      R"("total_power_w": 0})");
+
+  BudgetReply error;
+  error.request.scheme = "ignored on error replies";
+  error.error = "bad \"q\" \\ path\nline2\x01\ttab\rcr";
+  EXPECT_EQ(reply_to_json(error, 14),
+            R"({"id": 14, "ok": false, )"
+            R"("error": "bad \"q\" \\ path\nline2\u0001\ttab\rcr"})");
+
+  BudgetService::Stats stats;
+  stats.requests = 1024;
+  stats.computed = 441;
+  stats.dedup_hits = 0;
+  stats.reply_hits = 583;
+  stats.reply_evictions = 18446744073709551615ULL;
+  stats.reply_entries = 7;
+  stats.batches = 300;
+  stats.max_batch = 4;
+  EXPECT_EQ(stats_to_json(stats, 15),
+            R"({"id": 15, "ok": true, "requests": 1024, "computed": 441, )"
+            R"("dedup_hits": 0, "reply_hits": 583, )"
+            R"("reply_evictions": 18446744073709551615, "reply_entries": 7, )"
+            R"("batches": 300, "max_batch": 4})");
+}
+
+/// The number tokens of a solve reply's allocation vector, in order.
+std::vector<std::string> allocation_tokens(const std::string& line) {
+  const std::string open = "\"allocations\": [";
+  const std::size_t begin = line.find(open);
+  const std::size_t end = line.find("], \"allocation_count\"");
+  std::vector<std::string> tokens;
+  if (begin == std::string::npos || end == std::string::npos) return tokens;
+  std::string token;
+  for (std::size_t i = begin + open.size(); i < end; ++i) {
+    const char c = line[i];
+    if (c == '[' || c == ']' || c == ',' || c == ' ') {
+      if (!token.empty()) tokens.push_back(std::move(token));
+      token.clear();
+    } else {
+      token += c;
+    }
+  }
+  if (!token.empty()) tokens.push_back(std::move(token));
+  return tokens;
+}
+
+// Every double on the wire is its %.17g text and parses back to the same
+// bits, over 10^6 random finite bit patterns (denormals included).
+TEST(ServiceCodec, NumbersRoundTripBitForBit) {
+  constexpr std::size_t kDoubles = 1'000'000;
+  constexpr std::size_t kPerReply = 3 * 1920;
+  util::Xoshiro256 gen = util::SeedSequence(0x5eed'd0b1eULL).stream();
+  BudgetReply reply;
+  reply.ok = true;
+  std::vector<double> values;
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  while (checked < kDoubles) {
+    values.clear();
+    while (values.size() < kPerReply) {
+      const double v = std::bit_cast<double>(gen.next());
+      if (std::isfinite(v)) values.push_back(v);
+    }
+    reply.budget.allocations.clear();
+    for (std::size_t k = 0; k < values.size(); k += 3) {
+      reply.budget.allocations.push_back({util::Watts{values[k]},
+                                          util::Watts{values[k + 1]},
+                                          util::Watts{values[k + 2]}});
+    }
+    const std::vector<std::string> tokens =
+        allocation_tokens(reply_to_json(reply, 0));
+    ASSERT_EQ(tokens.size(), values.size());
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      char want[40];
+      std::snprintf(want, sizeof want, "%.17g", values[k]);
+      const double back = std::strtod(tokens[k].c_str(), nullptr);
+      if (tokens[k] != want || std::bit_cast<std::uint64_t>(back) !=
+                                   std::bit_cast<std::uint64_t>(values[k])) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "wrote " << tokens[k] << " for " << want;
+        }
+      }
+    }
+    checked += values.size();
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// Whatever byte the writer escapes into a string, the reader gives back.
+TEST(ServiceCodec, EveryByteRoundTripsThroughTheWire) {
+  const std::string key = "\"error\": ";
+  for (int b = 0x00; b <= 0xFF; ++b) {
+    BudgetReply error;
+    error.error = std::string(1, static_cast<char>(b));
+    const std::string reply = reply_to_json(error, 0);
+    const std::size_t at = reply.find(key);
+    ASSERT_NE(at, std::string::npos) << reply;
+    const std::size_t from = at + key.size();
+    const std::string literal = reply.substr(from, reply.size() - 1 - from);
+    const std::string line = "{\"scheme\": " + literal +
+                             ", \"workload\": \"MHD\", \"budget_w\": 1}";
+    std::int64_t id = 0;
+    std::string cmd;
+    try {
+      EXPECT_EQ(parse_request_json(line, id, cmd).scheme, error.error)
+          << "byte " << b;
+    } catch (const InvalidArgument& e) {
+      ADD_FAILURE() << "byte " << b << ": " << e.what();
+    }
+  }
+}
+
+TEST(ServiceCodec, DecodesJsonEscapes) {
+  const auto scheme_of = [](const std::string& literal) {
+    std::int64_t id = 0;
+    std::string cmd;
+    return parse_request_json("{\"scheme\": \"" + literal +
+                                  "\", \"workload\": \"MHD\", \"budget_w\": 1}",
+                              id, cmd)
+        .scheme;
+  };
+  EXPECT_EQ(scheme_of(R"(\b\f\r\n\t\/\"\\)"), "\b\f\r\n\t/\"\\");
+  EXPECT_EQ(scheme_of(R"(A\u00e9\u20ac)"), "A\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(scheme_of(R"(\ud83d\ude00)"), "\xf0\x9f\x98\x80");
+  for (const char* bad : {R"(\ud83d)", R"(\ude00)", R"(\ud83dx)",
+                          R"(\ud83dA)", R"(\u12g4)", R"(\u12)",
+                          R"(\x41)"}) {
+    EXPECT_THROW(scheme_of(bad), InvalidArgument) << bad;
+  }
 }
 
 TEST_F(ServiceFixture, ServeStreamAnswersOverAStringPair) {
